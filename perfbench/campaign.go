@@ -166,7 +166,7 @@ func runCampaignWorkload(spec campaignSpec, o runOpts) (*result, error) {
 	}
 
 	var tl tally
-	var ops costs
+	var ops []*opCost
 	var traced []*campaignTrace
 	var overhead []float64
 	var nrd []stream.Message

@@ -346,7 +346,7 @@ func runLiveFeed(o runOpts) (*result, error) {
 
 	res := &result{Attempted: tl.attempted, Failed: tl.failed, Correct: tl.failed == 0}
 	if !o.trace {
-		ops := make(costs, len(sessions))
+		ops := make([]*opCost, len(sessions))
 		for i, fs := range sessions {
 			ops[i] = fs.cost
 		}
@@ -383,13 +383,7 @@ func setFeedEndToEnd(res *result, sessions []*feedSession) {
 // setFeedLayers sets the stream and feed layers' per-layer metrics:
 // medians over sessions, tail lag over the pooled receipts.
 func setFeedLayers(res *result, sessions []*feedSession) {
-	med := func(f func(*feedSession) float64) float64 {
-		xs := make([]float64, len(sessions))
-		for i, fs := range sessions {
-			xs[i] = f(fs)
-		}
-		return median(xs)
-	}
+	med := func(f func(*feedSession) float64) float64 { return medianOf(sessions, f) }
 	res.set("stream.publish_s", med(func(fs *feedSession) float64 { return seconds(fs.publish) }), "s")
 	res.set("stream.entries", med(func(fs *feedSession) float64 { return float64(fs.entries) }), "count")
 	res.set("feed.delivered", med(func(fs *feedSession) float64 { return float64(fs.stats.Delivered) }), "count")

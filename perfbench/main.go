@@ -222,25 +222,23 @@ func processCPU() time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
-// costs gathers the per-operation costs of a run.
-type costs []*opCost
-
-func (cs costs) med(f func(*opCost) float64) float64 {
-	xs := make([]float64, len(cs))
-	for i, c := range cs {
-		xs[i] = f(c)
+// medianOf is the median of f over xs.
+func medianOf[T any](xs []T, f func(T) float64) float64 {
+	vs := make([]float64, len(xs))
+	for i, x := range xs {
+		vs[i] = f(x)
 	}
-	return median(xs)
+	return median(vs)
 }
 
 // setCommon sets the end-to-end metrics every workload reports from the
 // costs of its measured operations.
-func setCommon(res *result, ops costs, setups []float64) {
+func setCommon(res *result, ops []*opCost, setups []float64) {
 	res.set("setup_s", median(setups), "s")
-	res.set("campaign_s", ops.med(func(c *opCost) float64 { return seconds(c.wall) }), "s")
-	res.set("cpu_s", ops.med(func(c *opCost) float64 { return seconds(c.cpu) }), "s")
-	res.set("alloc_mb", ops.med(func(c *opCost) float64 { return float64(c.allocBytes) / (1 << 20) }), "MB")
-	res.set("allocs", ops.med(func(c *opCost) float64 { return float64(c.allocs) }), "count")
+	res.set("campaign_s", medianOf(ops, func(c *opCost) float64 { return seconds(c.wall) }), "s")
+	res.set("cpu_s", medianOf(ops, func(c *opCost) float64 { return seconds(c.cpu) }), "s")
+	res.set("alloc_mb", medianOf(ops, func(c *opCost) float64 { return float64(c.allocBytes) / (1 << 20) }), "MB")
+	res.set("allocs", medianOf(ops, func(c *opCost) float64 { return float64(c.allocs) }), "count")
 	res.set("peak_rss_mb", peakRSSMB(), "MB")
 }
 

@@ -294,11 +294,7 @@ func (ct *campaignTrace) observationCheck() []string {
 // over the traced campaigns of the run.
 func setCampaignLayers(res *result, cts []*campaignTrace, overhead []float64) {
 	set := func(name, unit string, f func(*campaignTrace) float64) {
-		xs := make([]float64, len(cts))
-		for i, ct := range cts {
-			xs[i] = f(ct)
-		}
-		res.set(name, median(xs), unit)
+		res.set(name, medianOf(cts, f), unit)
 	}
 	set("measure.probes", "count", func(ct *campaignTrace) float64 { return float64(ct.fleetProbes) })
 	set("measure.rounds", "count", func(ct *campaignTrace) float64 { return float64(ct.rounds) })
